@@ -457,8 +457,111 @@ const KERNEL_ARRAY_SECTIONS: [(&str, &[&str]); 6] = [
     ),
 ];
 
+/// Fields that name a measured point rather than measure it: they label
+/// rows of [`kernels_delta_table`] instead of being compared.
+const POINT_LABELS: [&str; 8] = [
+    "model",
+    "density",
+    "due",
+    "ranks",
+    "lanes",
+    "cores",
+    "touched_fraction",
+    "stepped_per_tick",
+];
+
+/// A per-section delta table of the kernels artifact `new` against an
+/// earlier one, `old`: one row per numeric field present in both whose
+/// value changed, as `section[point] field  old -> new  ±%`. Points of an
+/// array section are matched by position and labelled by their
+/// [`POINT_LABELS`] fields; sections or points only one side has are
+/// listed as added or removed, and unchanged fields (sizes, counts,
+/// settings) are only counted.
+///
+/// # Errors
+/// Returns a message if either text is not JSON.
+pub fn kernels_delta_table(old: &str, new: &str) -> Result<String, String> {
+    let old = Json::parse(old).map_err(|e| format!("baseline: {e}"))?;
+    let new = Json::parse(new).map_err(|e| format!("new artifact: {e}"))?;
+    let (Json::Obj(old_sections), Json::Obj(new_sections)) = (&old, &new) else {
+        return Err("kernels artifacts must be JSON objects".into());
+    };
+    let mut out = String::new();
+    let mut unchanged = 0usize;
+    let mut row = |name: &str, key: &str, a: f64, b: f64| {
+        if a == b {
+            unchanged += 1;
+            return;
+        }
+        let delta = if a == 0.0 {
+            String::new()
+        } else {
+            format!("{:+.1}%", (b - a) / a.abs() * 100.0)
+        };
+        out.push_str(&format!(
+            "{name:<44} {key:<36} {a:>14.1} -> {b:>14.1} {delta:>9}\n"
+        ));
+    };
+    let label = |p: &Json| -> String {
+        let parts: Vec<String> = POINT_LABELS
+            .iter()
+            .filter_map(|k| match p.get(k)? {
+                Json::Str(s) => Some(s.clone()),
+                Json::Num(x) => Some(format!("{k}={x}")),
+                _ => None,
+            })
+            .collect();
+        parts.join(" ")
+    };
+    let mut compare = |name: &str, a: &Json, b: &Json| {
+        let Json::Obj(fields) = b else { return };
+        for (key, value) in fields {
+            if POINT_LABELS.contains(&key.as_str()) {
+                continue;
+            }
+            if let (Some(x), Some(y)) = (a.get(key).and_then(Json::as_num), value.as_num()) {
+                row(name, key, x, y);
+            }
+        }
+    };
+    let mut missing = Vec::new();
+    for (section, b) in new_sections {
+        let Some(a) = old.get(section) else {
+            missing.push(format!("added section {section}"));
+            continue;
+        };
+        match (a, b) {
+            (Json::Arr(xs), Json::Arr(ys)) => {
+                for (i, y) in ys.iter().enumerate() {
+                    match xs.get(i) {
+                        Some(x) => compare(&format!("{section}[{}]", label(y)), x, y),
+                        None => missing.push(format!("added point {section}[{}]", label(y))),
+                    }
+                }
+                for x in xs.iter().skip(ys.len()) {
+                    missing.push(format!("removed point {section}[{}]", label(x)));
+                }
+            }
+            (Json::Obj(_), Json::Obj(_)) => compare(section, a, b),
+            _ => {}
+        }
+    }
+    for (section, _) in old_sections {
+        if new.get(section).is_none() {
+            missing.push(format!("removed section {section}"));
+        }
+    }
+    for line in missing {
+        out.push_str(&line);
+        out.push('\n');
+    }
+    out.push_str(&format!("{unchanged} unchanged fields not shown\n"));
+    Ok(out)
+}
+
 /// Validates the kernels artifact's schema: the dispatch constants, the
-/// Synapse crossover sweep, the Neuron sweep pair, the engine tick loops,
+/// Synapse crossover sweep, the Neuron sweep pairs (sparse and
+/// CoCoMac-shaped), the engine tick loops,
 /// checkpoint and recovery pricing, degraded-mode rows, the replica
 /// `batched` section (which must report a measured ≥ 1 sessions/sec
 /// throughput per point), and the `durable` checkpoint-store section
@@ -483,6 +586,15 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
         (
             "neuron_sweep",
             &["full_ns", "masked_ns", "speedup"] as &[&str],
+        ),
+        (
+            "neuron_sweep_cocomac",
+            &[
+                "stepped_per_tick",
+                "full_ns_per_neuron",
+                "two_pass_ns_per_neuron",
+                "speedup",
+            ],
         ),
         (
             "checkpoint",
@@ -771,6 +883,8 @@ mod tests {
             "{{\"bench\": \"kernels\", \
              \"dispatch\": {{\"min_due\": 4, \"min_events\": 256}}, \
              \"neuron_sweep\": {{\"full_ns\": 1, \"masked_ns\": 1, \"speedup\": 1}}, \
+             \"neuron_sweep_cocomac\": {{\"stepped_per_tick\": 256, \
+             \"full_ns_per_neuron\": 1, \"two_pass_ns_per_neuron\": 1, \"speedup\": 1}}, \
              \"checkpoint\": {{\"core_snapshot_bytes\": 3632, \
              \"snapshot_ns_per_core\": 1, \"restore_ns_per_core\": 1}}, \
              \"recovery\": {{\"baseline_ns_per_tick\": 1, \"reliable_ns_per_tick\": 1, \
@@ -781,6 +895,47 @@ mod tests {
     #[test]
     fn validates_complete_kernels_artifact() {
         validate_kernels_json(&kernels_skeleton()).unwrap();
+    }
+
+    #[test]
+    fn kernels_validator_requires_the_cocomac_sweep_row() {
+        let full = kernels_skeleton();
+        let e =
+            validate_kernels_json(&full.replace("\"neuron_sweep_cocomac\"", "\"x\"")).unwrap_err();
+        assert!(e.contains("neuron_sweep_cocomac"), "{e}");
+        let e = validate_kernels_json(&full.replace("\"two_pass_ns_per_neuron\"", "\"y\""))
+            .unwrap_err();
+        assert!(e.contains("two_pass_ns_per_neuron"), "{e}");
+    }
+
+    #[test]
+    fn delta_table_compares_matching_fields_and_lists_the_rest() {
+        let old = r#"{"bench": "kernels",
+            "neuron_sweep": {"full_ns": 200, "masked_ns": 40},
+            "tick_loop": [{"model": "ring", "on_ns": 10, "ticks": 9}, {"model": "dense", "on_ns": 5}],
+            "gone": {"x": 1}}"#;
+        let new = r#"{"bench": "kernels",
+            "neuron_sweep": {"full_ns": 210, "masked_ns": 20, "new_key": 3},
+            "tick_loop": [{"model": "ring", "on_ns": 12, "ticks": 9}],
+            "neuron_sweep_cocomac": {"speedup": 4}}"#;
+        let table = kernels_delta_table(old, new).unwrap();
+        let lines: Vec<&str> = table.lines().collect();
+        assert!(lines[0].starts_with("neuron_sweep ") && lines[0].contains("full_ns"));
+        assert!(lines[0].ends_with("+5.0%"), "{}", lines[0]);
+        assert!(lines[1].contains("masked_ns") && lines[1].ends_with("-50.0%"));
+        assert!(lines[2].starts_with("tick_loop[ring]") && lines[2].ends_with("+20.0%"));
+        assert_eq!(
+            &lines[3..],
+            [
+                "removed point tick_loop[dense]",
+                "added section neuron_sweep_cocomac",
+                "removed section gone",
+                "1 unchanged fields not shown",
+            ]
+        );
+        assert!(kernels_delta_table("{", new)
+            .unwrap_err()
+            .contains("baseline"));
     }
 
     #[test]

@@ -43,6 +43,11 @@ pub struct KernelStats {
     /// 256 per tick; the masked sweep costs the population of
     /// `touched | always_step | restless`; a skipped phase costs 0.
     pub neurons_stepped: u64,
+    /// Neuron phases served by the two-pass sweep (a PRNG draw pass, then
+    /// a dense branch-free integrate-leak-fire pass over all 256 neurons;
+    /// see [`crate::kernel`]). The remainder ran the per-neuron step or
+    /// were skipped outright.
+    pub two_pass_sweeps: u64,
 }
 
 impl KernelStats {
@@ -50,6 +55,7 @@ impl KernelStats {
     pub fn add(&mut self, other: &KernelStats) {
         self.kernel_synapse_ticks += other.kernel_synapse_ticks;
         self.neurons_stepped += other.neurons_stepped;
+        self.two_pass_sweeps += other.two_pass_sweeps;
     }
 }
 

@@ -54,7 +54,7 @@ pub use delay::DelayBuffer;
 pub use energy::{ActivityCounts, EnergyEstimate, EnergyModel};
 pub use kernel::{
     step_lanes_deterministic, BitPlanes, LanePlanes, NeuronMask, SynapseRows,
-    SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
+    NEURON_KERNEL_MIN_STEPPED, SYNAPSE_KERNEL_MIN_DUE, SYNAPSE_KERNEL_MIN_EVENTS,
 };
 pub use neuron::{NeuronConfig, ResetMode};
 pub use pool::{CorePool, PoolShards, PoolSlice};

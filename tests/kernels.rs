@@ -149,3 +149,43 @@ fn masked_sweeps_compound_with_autonomous_cores() {
     assert_eq!(on.sorted_trace(), off.sorted_trace());
     assert!(!on.sorted_trace().is_empty(), "model must be active");
 }
+
+#[test]
+fn two_pass_sweep_serves_cocomac_bit_identically() {
+    // CoCoMac cores are balanced relays, each with a stochastic leak, plus
+    // a leak pacemaker on every 16th neuron: all 256 neurons step every
+    // tick, the two-pass sweep's regime.
+    let net = compass::cocomac::macaque_network(42);
+    let (_plan, model) = compass::pcc::compile_serial(&net.object, 154).expect("realizable");
+    let relays = model
+        .cores
+        .iter()
+        .flat_map(|c| c.neurons.iter())
+        .filter(|n| n.weights != [0; 4]);
+    assert!(relays
+        .clone()
+        .all(|n| n.stochastic_leak && n.leak != 0 && n.stochastic_weight == [false; 4]));
+    assert!(relays.count() > 154 * 200);
+
+    let core_ticks = model.cores.len() as u64 * 60;
+    for world in [WorldConfig::new(1, 1), WorldConfig::new(2, 2)] {
+        let on = run_with(&model, world, true, true);
+        let off = run_with(&model, world, false, true);
+        assert_eq!(
+            on.trace_digest(),
+            off.trace_digest(),
+            "trace differs under {world:?}"
+        );
+        assert!(on.total_fires() > 0, "model must be active");
+        assert_eq!(on.activity(), off.activity());
+        // Every core-tick stepped all 256 neurons, inside the exactness
+        // window, so every one took the two-pass sweep.
+        assert_eq!(on.kernel_stats().two_pass_sweeps, core_ticks);
+        assert_eq!(on.kernel_stats().neurons_stepped, core_ticks * 256);
+        assert_eq!(
+            off.kernel_stats().two_pass_sweeps,
+            0,
+            "disabled runs must not dispatch the two-pass sweep"
+        );
+    }
+}
