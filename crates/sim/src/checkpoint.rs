@@ -77,7 +77,7 @@ pub enum CheckpointError {
     LaneMismatch,
     /// A delta replica does not apply to the receiver's mirror: the
     /// mirror's boundary is not the delta's base tick, the core counts
-    /// disagree, or a dirty index is out of range.
+    /// disagree, or a changed-slot index is out of range.
     DeltaMismatch,
 }
 
@@ -402,21 +402,38 @@ fn mask_bytes(mask: u64) -> usize {
         .sum()
 }
 
-/// The incremental form of [`ReplicaPayload`]: only cores dirtied since
-/// the previous replica boundary — and within each, only their changed
-/// 64-byte chunks — plus the trace/fires suffix recorded in between. The
-/// receiver holds the previous payload as a materialized *mirror* and
-/// applies the delta in place:
+/// A snapshot's lifetime tick counter — the only bytes a skip-path tick
+/// changes.
+fn snapshot_ticks(image: &[u8]) -> u64 {
+    u64::from_le_bytes(image[16..24].try_into().expect("snapshot header"))
+}
+
+/// The delta classifier: slot image `new` is clean against `old` when the
+/// two are byte-equal except for a tick counter that advanced by exactly
+/// `gap` — the one change [`DeltaReplica::apply`] replays arithmetically.
+fn slot_is_clean(old: &[u8], new: &[u8], gap: u64) -> bool {
+    old[..16] == new[..16]
+        && old[24..] == new[24..]
+        && snapshot_ticks(new) == snapshot_ticks(old).wrapping_add(gap)
+}
+
+/// The incremental form of [`ReplicaPayload`]: only the slots whose
+/// bytes changed since the previous boundary — and within each, only its
+/// changed 64-byte chunks — plus the trace/fires suffix recorded in
+/// between. The receiver holds the previous payload as a materialized
+/// *mirror* and applies the delta in place:
 ///
-/// * dirty slots have the shipped chunks patched over them; chunks
+/// * changed slots have the shipped chunks patched over them; chunks
 ///   absent from the bitmap are bytewise unchanged on the sender, so the
 ///   mirror's copy is already exact;
-/// * clean slots advance arithmetically — the only bytes a skip-path
-///   tick changes in a snapshot are the tick counter at `[16..24)`, so
-///   the mirror adds `boundary - base_tick` to each clean slot's counter
-///   (the *dirty-epoch invariant*; a rollback inside the epoch restores
-///   and therefore dirties every slot, so clean slots provably took the
-///   skip path on every tick of the epoch exactly once).
+/// * clean slots advance arithmetically — a slot is clean when its image
+///   equals the base image except for a tick counter at `[16..24)` that
+///   moved by exactly `boundary - base_tick` (what a skip-path tick
+///   does), so the mirror adds that gap to its counter.
+///
+/// [`DeltaReplica::diff`] classifies by bytes alone, never by which code
+/// paths ran, so applying a delta reproduces the sender's boundary blob
+/// exactly.
 ///
 /// A delta only applies to a mirror sitting exactly at `base_tick`;
 /// anything else is a [`CheckpointError::DeltaMismatch`] and the receiver
@@ -431,9 +448,9 @@ pub struct DeltaReplica {
     pub(crate) boundary: u32,
     /// Total cores of the owning rank (mirror shape check).
     pub(crate) core_count: u32,
-    /// Slot indices dirtied during the epoch, ascending.
+    /// Indices of the slots that changed, ascending.
     pub(crate) dirty: Vec<u32>,
-    /// Per dirty slot, the bitmap of changed 64-byte chunks.
+    /// Per changed slot, the bitmap of changed 64-byte chunks.
     pub(crate) masks: Vec<u64>,
     /// Concatenated changed chunks, in `dirty` order then chunk order.
     pub(crate) chunks: Vec<u8>,
@@ -450,15 +467,12 @@ impl DeltaReplica {
     }
 
     /// Builds a delta by diffing the boundary blob `cur` against `base`
-    /// (the sender's image of the buddy's mirror — the blob it shipped
-    /// at `base_tick`) over the given dirty slots, chunk by chunk. Both
-    /// blobs are full rank images of the same core count; only slots in
-    /// `dirty` are examined — clean slots are reconstructed
-    /// arithmetically on the mirror and must not appear here.
+    /// (the sender's image of the receiver's mirror — the blob it shipped
+    /// at `base_tick`), slot by slot and then chunk by chunk. Both blobs
+    /// are full rank images of the same core count.
     pub fn diff(
         base_tick: u32,
         boundary: u32,
-        dirty: Vec<u32>,
         base: &[u8],
         cur: &[u8],
         trace_delta: Vec<Spike>,
@@ -466,13 +480,18 @@ impl DeltaReplica {
     ) -> Self {
         debug_assert_eq!(base.len(), cur.len());
         debug_assert_eq!(cur.len() % CORE_SNAPSHOT_BYTES, 0);
+        let gap = u64::from(boundary - base_tick);
         let core_count = (cur.len() / CORE_SNAPSHOT_BYTES) as u32;
-        let mut masks = Vec::with_capacity(dirty.len());
+        let mut dirty = Vec::new();
+        let mut masks = Vec::new();
         let mut chunks = Vec::new();
-        for &slot in &dirty {
-            let at = slot as usize * CORE_SNAPSHOT_BYTES;
-            let old = &base[at..at + CORE_SNAPSHOT_BYTES];
-            let new = &cur[at..at + CORE_SNAPSHOT_BYTES];
+        let slots = base
+            .chunks_exact(CORE_SNAPSHOT_BYTES)
+            .zip(cur.chunks_exact(CORE_SNAPSHOT_BYTES));
+        for (slot, (old, new)) in slots.enumerate() {
+            if slot_is_clean(old, new, gap) {
+                continue;
+            }
             let mut mask = 0u64;
             for ci in 0..DELTA_CHUNKS_PER_CORE {
                 let span = chunk_span(ci);
@@ -481,6 +500,7 @@ impl DeltaReplica {
                     chunks.extend_from_slice(&new[span]);
                 }
             }
+            dirty.push(slot as u32);
             masks.push(mask);
         }
         Self {
@@ -670,7 +690,7 @@ impl DeltaReplica {
             .enumerate()
         {
             if next_dirty < self.dirty.len() && self.dirty[next_dirty] as usize == slot {
-                // Dirty slot: patch the shipped chunks; unshipped chunks
+                // Changed slot: patch the shipped chunks; unshipped chunks
                 // are bytewise unchanged on the sender, so the mirror's
                 // copy is already exact.
                 let mask = self.masks[next_dirty];
@@ -686,7 +706,7 @@ impl DeltaReplica {
             } else {
                 // Clean slot: only the tick counter moved (see type doc).
                 let ticks = read_u64(image, 16)?;
-                image[16..24].copy_from_slice(&(ticks + elapsed).to_le_bytes());
+                image[16..24].copy_from_slice(&ticks.wrapping_add(elapsed).to_le_bytes());
             }
         }
         mirror.ckpt.start_tick = self.boundary;
@@ -776,6 +796,17 @@ impl MigrationEnvelope {
         }
         let boundary = read_u32(bytes, 8)?;
         let n_runs = read_u32(bytes, 12)? as usize;
+        // The run count is untrusted: reject one whose 12-byte run headers
+        // alone overrun the frame before sizing an allocation by it.
+        let headers_end = n_runs
+            .saturating_mul(12)
+            .saturating_add(MIGRATION_HEADER_BYTES);
+        if bytes.len() < headers_end {
+            return Err(CheckpointError::Truncated {
+                expected: headers_end,
+                got: bytes.len(),
+            });
+        }
         let mut at = MIGRATION_HEADER_BYTES;
         let mut runs = Vec::with_capacity(n_runs);
         for _ in 0..n_runs {
@@ -1279,7 +1310,7 @@ mod tests {
         cur[off + 16..off + 24].copy_from_slice(&2121u64.to_le_bytes());
         cur[off + 200] = 0xAB;
 
-        let d = DeltaReplica::diff(17, 21, vec![1], &base, &cur, Vec::new(), vec![0; 4]);
+        let d = DeltaReplica::diff(17, 21, &base, &cur, Vec::new(), vec![0; 4]);
         // Two changed 64-byte chunks (header + the byte at offset 200)
         // instead of a whole 3.5 KiB snapshot.
         assert_eq!(d.masks, vec![1 | (1 << (200 / DELTA_CHUNK_BYTES))]);

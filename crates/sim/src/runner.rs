@@ -1,4 +1,4 @@
-//! Whole-world convenience runner.
+//! Whole-world drivers.
 //!
 //! [`run`] wraps [`compass_comm::World::run`] around the per-rank engine:
 //! it partitions an explicit [`NetworkModel`] uniformly over the configured
@@ -7,9 +7,22 @@
 //! [`RunReport`]. The Parallel Compass Compiler path bypasses this and
 //! calls [`crate::engine::run_rank`] directly inside its own world, exactly
 //! as the paper's in-situ compile-then-simulate flow does.
+//!
+//! The resilient drivers — [`run_recovering`] (rollback over a reliable
+//! layer), [`run_surviving`] (a rank crash survived by buddy adoption),
+//! [`run_durable`] (restart from an on-disk store) and [`run_elastic`]
+//! (ranks joining and leaving at tick boundaries) — are thin wrappers that
+//! check their plans and describe one job. A single per-rank segment loop
+//! runs every job: it executes a segment of the engine, and matches on how
+//! it ended. A finished segment either ends the run or reaches an elastic
+//! boundary, where the members migrate cores and start the next segment.
+//! A death verdict makes the victim's buddy adopt its cores, and the
+//! segment replays from the common boundary in the degraded view. Every
+//! segment is seeded with the rank's recorded history, so one report fold
+//! covers them all.
 
-use crate::checkpoint::{MigrationEnvelope, MigrationRun, RankCheckpoint};
-use crate::engine::{run_rank, run_rank_view, run_rank_with, EngineConfig, RunOptions};
+use crate::checkpoint::{MigrationEnvelope, MigrationRun, RankCheckpoint, ReplicaPayload};
+use crate::engine::{run_rank, run_rank_view, EngineConfig, RunOptions};
 use crate::model::{ModelError, NetworkModel};
 use crate::partition::{Partition, SurvivorView};
 use crate::recovery::RecoveryPolicy;
@@ -20,9 +33,10 @@ use compass_comm::{
     TransportMetrics, World, WorldConfig,
 };
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tn_core::{CoreConfig, Spike, CORE_SNAPSHOT_BYTES};
+use tn_core::{CoreConfig, CORE_SNAPSHOT_BYTES};
 
 /// Simulates `model` on a world of shape `world` with engine options `cfg`.
 ///
@@ -79,44 +93,11 @@ pub fn run_recovering(
     policy: Option<RecoveryPolicy>,
 ) -> Result<RunReport, ModelError> {
     model.validate()?;
-    let partition = Partition::uniform(model.total_cores(), world.ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, world.ranks)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(
-        world.ranks,
-        Arc::clone(&metrics),
-        rely_cfg,
-    ));
-    let opts = RunOptions {
+    let job = Job {
         recovery: policy,
-        ..RunOptions::default()
+        ..Job::fixed(model, cfg, world.ranks)
     };
-    let started = Instant::now();
-    let ranks = World::run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-        let block = partition.block(ctx.rank());
-        let configs: Vec<CoreConfig> =
-            model.cores[block.start as usize..block.end as usize].to_vec();
-        run_rank_with(
-            ctx,
-            &partition,
-            configs,
-            &model.initial_deliveries,
-            cfg,
-            &opts,
-        )
-        .report
-    });
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
+    Ok(drive(world, plan, &job).0)
 }
 
 /// Simulates `model` while one rank is killed mid-run, and drives the full
@@ -144,8 +125,8 @@ pub fn run_recovering(
 ///
 /// # Panics
 /// Panics when the crash plan is unsatisfiable (victim outside the world,
-/// no survivor, crash after the last tick) or when a rank other than the
-/// planned victim dies.
+/// no survivor, crash after the last tick), and re-raises the panic of
+/// any rank that dies other than the planned victim.
 pub fn run_surviving(
     model: &NetworkModel,
     world: WorldConfig,
@@ -155,185 +136,31 @@ pub fn run_surviving(
     policy: RecoveryPolicy,
 ) -> Result<RunReport, ModelError> {
     model.validate()?;
-    assert!(
-        world.ranks >= 2,
-        "crash survival needs at least one survivor"
-    );
-    assert!(
-        crash.rank < world.ranks,
-        "crash plan names rank {} outside a {}-rank world",
-        crash.rank,
-        world.ranks
-    );
+    check_crash(world.ranks, &crash);
     assert!(
         crash.at_tick < cfg.ticks,
         "the victim must die before the run ends"
     );
-    let policy = RecoveryPolicy {
-        survive_crashes: true,
-        ..policy
+    let job = Job {
+        recovery: Some(RecoveryPolicy {
+            survive_crashes: true,
+            ..policy
+        }),
+        crash: Some(crash),
+        ..Job::fixed(model, cfg, world.ranks)
     };
-    let n_ranks = world.ranks;
-    let partition = Partition::uniform(model.total_cores(), n_ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, n_ranks)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(n_ranks, Arc::clone(&metrics), rely_cfg));
-    let started = Instant::now();
-    let results =
-        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-            let me = ctx.rank();
-            let view = SurvivorView::identity(partition.clone());
-            let block = partition.block(me);
-            let configs: Vec<CoreConfig> =
-                model.cores[block.start as usize..block.end as usize].to_vec();
-            let opts = RunOptions {
-                recovery: Some(policy),
-                crash: Some(crash),
-                ..RunOptions::default()
-            };
-            let seg1 = run_rank_view(ctx, &view, configs, &model.initial_deliveries, cfg, &opts);
-            // The victim never reaches this point (it died by panic); every
-            // survivor was interrupted by the unanimous verdict.
-            let int = seg1
-                .interrupt
-                .clone()
-                .expect("a planned crash must interrupt every survivor");
-            let mut rep1 = seg1.report;
-
-            // Degraded world: the buddy adopts the victim's block, everyone
-            // resumes from the common checkpoint boundary and replays.
-            let view2 = view.without(int.dead);
-            let configs2: Vec<CoreConfig> = view2
-                .blocks_of(me)
-                .into_iter()
-                .flat_map(|b| {
-                    model.cores[b.start as usize..b.end as usize]
-                        .iter()
-                        .cloned()
-                })
-                .collect();
-            // Merge own + adopted checkpoint cores in ascending original-
-            // rank order — the layout `view2.local_index` expects. With the
-            // flat-blob checkpoints this is a pair of arena-range copies.
-            let mut adopted_cores = 0u64;
-            let mut blob: Vec<u8> = Vec::new();
-            for r in 0..n_ranks {
-                if r == me {
-                    blob.extend_from_slice(&int.resume.blob);
-                } else if r == int.dead {
-                    if let Some(rp) = &int.adopted {
-                        adopted_cores = rp.ckpt.core_count() as u64;
-                        blob.extend_from_slice(&rp.ckpt.blob);
-                        // The victim's recorded history died with its
-                        // thread; its replica carries both, and they join
-                        // this rank's own pre-boundary prefix.
-                        rep1.trace.extend(rp.trace.iter().copied());
-                        for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
-                            *a += b;
-                        }
-                    }
-                }
-            }
-            let merged = RankCheckpoint {
-                rank: me as u32,
-                start_tick: int.resume.start_tick(),
-                blob,
-            };
-            let opts2 = RunOptions {
-                resume: Some(merged),
-                recovery: Some(policy),
-                ..RunOptions::default()
-            };
-            let seg2 = run_rank_view(
-                ctx,
-                &view2,
-                configs2,
-                &model.initial_deliveries,
-                cfg,
-                &opts2,
-            );
-            assert!(
-                seg2.interrupt.is_none(),
-                "one crash per run: the degraded world must finish"
-            );
-            let gap = u64::from(int.at_tick - int.resume.start_tick());
-            let mut out = stitch_segments(rep1, seg2.report, gap);
-            out.adopted_cores = adopted_cores;
-            out
-        });
-
-    let mut ranks = Vec::with_capacity(n_ranks);
-    for (rank, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(report) => ranks.push(report),
-            Err(failure) => {
-                assert_eq!(rank, crash.rank, "only the planned victim may die");
-                let rc = failure
-                    .crash()
-                    .unwrap_or_else(|| panic!("victim died abnormally: {}", failure.message()));
-                assert_eq!((rc.rank, rc.tick), (crash.rank, crash.at_tick));
-                // The victim's thread is gone; its pre-crash history is
-                // accounted by the adopting buddy, so its slot stays empty.
-                ranks.push(RankReport::default());
-            }
-        }
-    }
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
+    Ok(drive(world, plan, &job).0)
 }
 
-/// Folds a survivor's pre-verdict segment into its degraded-mode segment.
-///
-/// Lifetime, core-derived values (`fires`, `fires_per_core`, `activity`,
-/// `spikes_in_flight`, `kernel`, `cores`, `memory_bytes`) come from the
-/// second segment alone — they travel inside the checkpoints. Reliable-
-/// layer counters (`retransmits`, `dedup_drops`, `crc_rejects`) are
-/// cumulative over the shared [`ReliableWorld`], so the second segment's
-/// values already include the first. Everything else is work actually
-/// done, and sums; `gap` is the verdict-to-boundary distance, charged as
-/// replayed ticks.
-fn stitch_segments(seg1: RankReport, seg2: RankReport, gap: u64) -> RankReport {
-    let mut out = seg2;
-    out.phases.add(&seg1.phases);
-    out.spikes_local += seg1.spikes_local;
-    out.spikes_remote += seg1.spikes_remote;
-    out.messages_sent += seg1.messages_sent;
-    for (a, b) in out.bytes_to.iter_mut().zip(&seg1.bytes_to) {
-        *a += b;
-    }
-    out.critical_wait += seg1.critical_wait;
-    out.critical_hold += seg1.critical_hold;
-    out.synapse_skips += seg1.synapse_skips;
-    out.neuron_skips += seg1.neuron_skips;
-    out.checkpoint_bytes += seg1.checkpoint_bytes;
-    out.checkpoint_time += seg1.checkpoint_time;
-    out.rollbacks += seg1.rollbacks;
-    out.replayed_ticks += seg1.replayed_ticks + gap;
-    out.recovery_time += seg1.recovery_time;
-    out.death_verdicts += seg1.death_verdicts;
-    out.replication_bytes += seg1.replication_bytes;
-    out.replication_time += seg1.replication_time;
-    out.delta_replica_ships += seg1.delta_replica_ships;
-    out.full_replica_ships += seg1.full_replica_ships;
-    out.durable_bytes += seg1.durable_bytes;
-    out.durable_time += seg1.durable_time;
-    out.durable_generations += seg1.durable_generations;
-    let mut trace = seg1.trace;
-    trace.append(&mut out.trace);
-    out.trace = trace;
-    let mut fires_per_tick = seg1.fires_per_tick;
-    fires_per_tick.append(&mut out.fires_per_tick);
-    out.fires_per_tick = fires_per_tick;
-    out
+/// Panics unless `crash` names a rank of a `ranks`-rank world that leaves
+/// at least one survivor.
+fn check_crash(ranks: usize, crash: &CrashPlan) {
+    assert!(ranks >= 2, "crash survival needs at least one survivor");
+    assert!(
+        crash.rank < ranks,
+        "crash plan names rank {} outside a {ranks}-rank world",
+        crash.rank
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -413,8 +240,8 @@ impl From<StoreError> for DurableError {
 ///
 /// # Panics
 /// Panics when a pending crash plan is unsatisfiable (victim outside the
-/// world, no survivor, crash after the last tick) or a rank dies that no
-/// plan named.
+/// world, no survivor), and re-raises the panic of any rank that dies
+/// other than the planned victim.
 pub fn run_durable(
     model: &NetworkModel,
     world: WorldConfig,
@@ -431,173 +258,31 @@ pub fn run_durable(
     // stops writing when it dies), so a pending crash always re-fires on
     // restart; filter only guards a plan from an already-survived past.
     let crash = crash.filter(|c| resume.as_ref().is_none_or(|rp| c.at_tick >= rp.tick));
-    if let Some(c) = crash {
-        assert!(
-            world.ranks >= 2,
-            "crash survival needs at least one survivor"
-        );
-        assert!(
-            c.rank < world.ranks,
-            "crash plan names rank {} outside a {}-rank world",
-            c.rank,
-            world.ranks
-        );
-        // Unlike `run_surviving`, a crash at or past `cfg.ticks` is legal
-        // here: a prefix run (a job that dies before the victim does)
-        // simply never reaches the planned tick, and the relaunch re-fires
-        // the still-pending plan.
+    // Unlike `run_surviving`, a crash at or past `cfg.ticks` is legal
+    // here: a prefix run (a job that dies before the victim does) simply
+    // never reaches the planned tick, and the relaunch re-fires the
+    // still-pending plan.
+    if let Some(c) = &crash {
+        check_crash(world.ranks, c);
     }
-    let recovery = match (recovery, crash.is_some()) {
-        (Some(p), true) => Some(RecoveryPolicy {
+    let recovery = match crash {
+        Some(_) => Some(RecoveryPolicy {
             survive_crashes: true,
-            ..p
+            ..recovery.unwrap_or_default()
         }),
-        (None, true) => Some(RecoveryPolicy {
-            survive_crashes: true,
-            ..RecoveryPolicy::default()
-        }),
-        (r, false) => r,
+        None => recovery,
     };
-    let n_ranks = world.ranks;
-    let partition = Partition::uniform(model.total_cores(), n_ranks);
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, n_ranks)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
+    let job = Job {
+        recovery,
+        crash,
+        durability: Some(policy),
+        resume: resume.map(|rp| rp.payloads),
+        ..Job::fixed(model, cfg, world.ranks)
     };
-    let rely = Arc::new(ReliableWorld::new(n_ranks, Arc::clone(&metrics), rely_cfg));
-    let started = Instant::now();
-    let results =
-        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-            let me = ctx.rank();
-            let view = SurvivorView::identity(partition.clone());
-            let block = partition.block(me);
-            let configs: Vec<CoreConfig> =
-                model.cores[block.start as usize..block.end as usize].to_vec();
-            // A resumed rank restores its own slice of the generation and
-            // seeds the history the dead process had already recorded.
-            let (resume_ckpt, seed) = match &resume {
-                Some(rp) => {
-                    let p = &rp.payloads[me];
-                    (
-                        Some(p.ckpt.clone()),
-                        Some((p.trace.clone(), p.fires_per_tick.clone())),
-                    )
-                }
-                None => (None, None),
-            };
-            let opts = RunOptions {
-                resume: resume_ckpt,
-                recovery,
-                crash,
-                seed_history: seed,
-                durability: Some(policy.clone()),
-                ..RunOptions::default()
-            };
-            let mut seg1 =
-                run_rank_view(ctx, &view, configs, &model.initial_deliveries, cfg, &opts);
-            let durable_error = seg1.durable_error.take();
-            let Some(int) = seg1.interrupt.take() else {
-                return (seg1.report, durable_error);
-            };
-            let mut rep1 = seg1.report;
-
-            // A peer died: adopt and replay in the degraded world, exactly
-            // as `run_surviving` does — but without durability. Generations
-            // past the victim's death can never commit (committing needs
-            // every rank's file), so a later restart resumes before the
-            // crash and re-fires the plan deterministically.
-            let view2 = view.without(int.dead);
-            let configs2: Vec<CoreConfig> = view2
-                .blocks_of(me)
-                .into_iter()
-                .flat_map(|b| {
-                    model.cores[b.start as usize..b.end as usize]
-                        .iter()
-                        .cloned()
-                })
-                .collect();
-            let mut adopted_cores = 0u64;
-            let mut blob: Vec<u8> = Vec::new();
-            for r in 0..n_ranks {
-                if r == me {
-                    blob.extend_from_slice(&int.resume.blob);
-                } else if r == int.dead {
-                    if let Some(rp) = &int.adopted {
-                        adopted_cores = rp.ckpt.core_count() as u64;
-                        blob.extend_from_slice(&rp.ckpt.blob);
-                        rep1.trace.extend(rp.trace.iter().copied());
-                        for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
-                            *a += b;
-                        }
-                    }
-                }
-            }
-            let merged = RankCheckpoint {
-                rank: me as u32,
-                start_tick: int.resume.start_tick(),
-                blob,
-            };
-            let opts2 = RunOptions {
-                resume: Some(merged),
-                recovery,
-                ..RunOptions::default()
-            };
-            let seg2 = run_rank_view(
-                ctx,
-                &view2,
-                configs2,
-                &model.initial_deliveries,
-                cfg,
-                &opts2,
-            );
-            assert!(
-                seg2.interrupt.is_none(),
-                "one crash per run: the degraded world must finish"
-            );
-            let gap = u64::from(int.at_tick - int.resume.start_tick());
-            let mut out = stitch_segments(rep1, seg2.report, gap);
-            out.adopted_cores = adopted_cores;
-            (out, durable_error)
-        });
-
-    let mut ranks = Vec::with_capacity(n_ranks);
-    let mut write_error: Option<String> = None;
-    for (rank, res) in results.into_iter().enumerate() {
-        match res {
-            Ok((report, derr)) => {
-                if write_error.is_none() {
-                    write_error = derr;
-                }
-                ranks.push(report);
-            }
-            Err(failure) => {
-                let planned = crash.unwrap_or_else(|| {
-                    panic!(
-                        "rank {rank} died with no crash planned: {}",
-                        failure.message()
-                    )
-                });
-                assert_eq!(rank, planned.rank, "only the planned victim may die");
-                let rc = failure
-                    .crash()
-                    .unwrap_or_else(|| panic!("victim died abnormally: {}", failure.message()));
-                assert_eq!((rc.rank, rc.tick), (planned.rank, planned.at_tick));
-                ranks.push(RankReport::default());
-            }
-        }
+    match drive(world, plan, &job) {
+        (_, Some(e)) => Err(DurableError::Write(e)),
+        (report, None) => Ok(report),
     }
-    if let Some(e) = write_error {
-        return Err(DurableError::Write(e));
-    }
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -767,6 +452,148 @@ impl ElasticPlan {
     }
 }
 
+/// Simulates `model` under a deterministic schedule of live membership
+/// transitions: ranks join and leave the running world at tick
+/// boundaries, cores migrate between ranks over checkpoint splices, and
+/// the spike trace stays bit-identical to a run that never scaled.
+///
+/// Every segment runs crash-survival-armed (`policy.survive_crashes` is
+/// forced on), so buddy replication is live throughout and an optional
+/// `crash` composes with the schedule: the victim's cores are adopted
+/// mid-segment exactly as in [`run_surviving`], and later transitions
+/// proceed among the survivors. Optional message faults (`plan`) compose
+/// as in [`run_recovering`].
+///
+/// At each boundary the active ranks exit their segment holding a
+/// checkpoint of that boundary, then run the admission protocol over the
+/// control channel: WELCOME (a joiner aligns its collective sequence
+/// number and PGAS epoch with the incumbents'), COST (rebalance only —
+/// every member publishes its measured per-core tick cost so all ranks
+/// compute the identical [`Partition::by_cost`] layout), MIG (each old
+/// owner ships the checkpoint runs that intersect each new owner's
+/// block), and DONE (the collective admission verdict — an all-to-all
+/// barrier no rank passes until every participant finished migrating).
+///
+/// # Errors
+/// Returns the first [`ModelError`] if the model is inconsistent.
+///
+/// # Panics
+/// Panics when the plan is unsatisfiable (see [`ElasticPlan`]), and
+/// re-raises the panic of any rank that dies other than the planned
+/// crash victim.
+pub fn run_elastic(
+    model: &NetworkModel,
+    world: WorldConfig,
+    cfg: &EngineConfig,
+    plan: Option<FaultPlan>,
+    crash: Option<CrashPlan>,
+    elastic: &ElasticPlan,
+    policy: RecoveryPolicy,
+) -> Result<RunReport, ModelError> {
+    model.validate()?;
+    elastic.validate(world.ranks, cfg.ticks, crash.as_ref());
+    let job = Job {
+        recovery: Some(RecoveryPolicy {
+            survive_crashes: true,
+            ..policy
+        }),
+        crash,
+        elastic: elastic.clone(),
+        ..Job::fixed(model, cfg, world.ranks)
+    };
+    Ok(drive(world, plan, &job).0)
+}
+
+// ---------------------------------------------------------------------------
+// The job driver behind every resilient entry point.
+// ---------------------------------------------------------------------------
+
+/// One job as the segment loop runs it.
+struct Job<'a> {
+    model: &'a NetworkModel,
+    cfg: &'a EngineConfig,
+    recovery: Option<RecoveryPolicy>,
+    crash: Option<CrashPlan>,
+    /// Membership schedule; a fixed world has every rank initial and no
+    /// steps, so it runs as a single segment.
+    elastic: ElasticPlan,
+    /// Durable persistence, armed for the first segment only: once a rank
+    /// has died no later generation could commit anyway.
+    durability: Option<DurabilityPolicy>,
+    /// Each rank's slice of a recovered durable generation.
+    resume: Option<Vec<ReplicaPayload>>,
+}
+
+impl<'a> Job<'a> {
+    /// A fixed `ranks`-rank world with no fault handling.
+    fn fixed(model: &'a NetworkModel, cfg: &'a EngineConfig, ranks: usize) -> Self {
+        Self {
+            model,
+            cfg,
+            recovery: None,
+            crash: None,
+            elastic: ElasticPlan::new((0..ranks).collect(), Vec::new()),
+            durability: None,
+            resume: None,
+        }
+    }
+}
+
+/// Runs `job` on every rank of a reliable-delivery world with optional
+/// seeded message faults `plan`, and merges the per-rank reports. The
+/// planned crash victim's slot is an empty report (its pre-crash history
+/// is accounted by the adopting buddy); any other rank death is re-raised
+/// with its own panic message. Also returns the first rank's durable
+/// write error, if any.
+fn drive(
+    world: WorldConfig,
+    plan: Option<FaultPlan>,
+    job: &Job<'_>,
+) -> (RunReport, Option<String>) {
+    let metrics = Arc::new(TransportMetrics::new());
+    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, world.ranks)));
+    let rely_cfg = plan
+        .as_ref()
+        .map_or_else(ReliableConfig::default, ReliableConfig::against);
+    let rely = Arc::new(ReliableWorld::new(
+        world.ranks,
+        Arc::clone(&metrics),
+        rely_cfg,
+    ));
+    let started = Instant::now();
+    let results =
+        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
+            run_job(ctx, job)
+        });
+    let mut ranks = Vec::with_capacity(world.ranks);
+    let mut write_error = None;
+    for res in results {
+        match res {
+            Ok((report, err)) => {
+                write_error = write_error.or(err);
+                ranks.push(report);
+            }
+            Err(failure) => {
+                let planned = failure.crash().is_some_and(|rc| {
+                    job.crash
+                        .is_some_and(|cp| (rc.rank, rc.tick) == (cp.rank, cp.at_tick))
+                });
+                if !planned {
+                    failure.resume();
+                }
+                ranks.push(RankReport::default());
+            }
+        }
+    }
+    let report = RunReport {
+        ranks,
+        wall: started.elapsed(),
+        ticks: job.cfg.ticks,
+        transport: metrics.snapshot(),
+    };
+    (report, write_error)
+}
+
 /// Control-message kinds on the elastic channel (`ctrl_send`/`ctrl_recv`
 /// tag space). One protocol round each; all tagged with the boundary tick
 /// so rounds of different boundaries can never cross.
@@ -774,6 +601,364 @@ const ELASTIC_WELCOME: u8 = 1;
 const ELASTIC_COST: u8 = 2;
 const ELASTIC_MIG: u8 = 3;
 const ELASTIC_DONE: u8 = 4;
+
+/// This rank's core configurations under `view`, in local-index order.
+fn configs_of(model: &NetworkModel, view: &SurvivorView, me: Rank) -> Vec<CoreConfig> {
+    view.blocks_of(me)
+        .into_iter()
+        .flat_map(|b| {
+            model.cores[b.start as usize..b.end as usize]
+                .iter()
+                .cloned()
+        })
+        .collect()
+}
+
+/// The per-rank segment loop. Each pass runs one segment — up to the next
+/// elastic boundary, or to the end of the run — seeded with the rank's
+/// recorded history, and matches on how it ended:
+///
+/// * **finished** — the run is over, or the segment stopped at an elastic
+///   boundary holding that boundary's checkpoint: the members run the
+///   admission protocol (see [`run_elastic`]) and the next segment starts
+///   from the spliced checkpoints;
+/// * **death verdict** — a peer died: the buddy adopts the victim's cores
+///   and history from its replica, and the rest of the segment replays
+///   from the common boundary in the degraded view.
+///
+/// Parked ranks skip the segments and track deaths from the shared plan.
+#[allow(clippy::too_many_lines)]
+fn run_job(ctx: &RankCtx, job: &Job<'_>) -> (RankReport, Option<String>) {
+    let me = ctx.rank();
+    let n_world = ctx.world_size();
+    let total = job.model.total_cores();
+    let mut members = job.elastic.initial.clone();
+    let mut view = SurvivorView::remap(
+        member_partition(total, n_world, &members, None),
+        members.clone(),
+    );
+    // Standbys sit outside the PGAS commit barrier until admitted.
+    if !members.contains(&me) {
+        ctx.pgas().detach(me);
+    }
+    // A resumed durable job restores this rank's slice of the generation
+    // and the history the dead process had already recorded.
+    let (mut resume, mut history) = match &job.resume {
+        Some(payloads) => {
+            let p = &payloads[me];
+            let history = (p.trace.clone(), p.fires_per_tick.clone());
+            (Some(p.ckpt.clone()), history)
+        }
+        None => (None, (Vec::new(), Vec::new())),
+    };
+    let mut durability = job.durability.clone();
+    let mut durable_error: Option<String> = None;
+    let mut acc: Option<RankReport> = None;
+    let mut dead: Option<Rank> = None;
+    let mut start = 0u32;
+    let mut mig_cores = 0u64;
+    let mut mig_bytes = 0u64;
+    let mut mig_time = Duration::ZERO;
+
+    for i in 0..=job.elastic.steps.len() {
+        let step = job.elastic.steps.get(i);
+        let seg_end = step.map(|s| s.at_tick);
+
+        // ---- Run the segment (active ranks only) ----
+        let mut boundary_ck: Option<RankCheckpoint> = None;
+        if members.contains(&me) {
+            loop {
+                let opts = RunOptions {
+                    checkpoint_at: seg_end,
+                    kill_at: seg_end,
+                    resume: resume.take(),
+                    recovery: job.recovery,
+                    crash: job.crash,
+                    seed_history: Some(std::mem::take(&mut history)),
+                    durability: durability.take(),
+                };
+                let out = run_rank_view(
+                    ctx,
+                    &view,
+                    configs_of(job.model, &view, me),
+                    &job.model.initial_deliveries,
+                    job.cfg,
+                    &opts,
+                );
+                durable_error = durable_error.or(out.durable_error);
+                let mut report = out.report;
+                let verdict = out.interrupt;
+                if let Some(int) = &verdict {
+                    // A peer died; the engine already wound the report
+                    // back to the common boundary. Merge own + adopted
+                    // cores in ascending global order — the layout the
+                    // degraded view's `local_index` expects. Each block is
+                    // contiguous in its old host's checkpoint, so this is
+                    // a sequence of range copies.
+                    let mut pieces: Vec<(Rank, &RankCheckpoint, Range<u64>)> = view
+                        .blocks_of(me)
+                        .into_iter()
+                        .map(|b| (me, &int.resume, b))
+                        .collect();
+                    if let Some(rp) = &int.adopted {
+                        pieces.extend(
+                            view.blocks_of(int.dead)
+                                .into_iter()
+                                .map(|b| (int.dead, &rp.ckpt, b)),
+                        );
+                        report.adopted_cores += rp.ckpt.core_count() as u64;
+                        // The victim's recorded history died with its
+                        // thread; its replica carries it, and it joins this
+                        // rank's own pre-boundary history.
+                        report.trace.extend_from_slice(&rp.trace);
+                        if report.fires_per_tick.len() < rp.fires_per_tick.len() {
+                            report.fires_per_tick.resize(rp.fires_per_tick.len(), 0);
+                        }
+                        for (a, b) in report.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
+                            *a += b;
+                        }
+                    }
+                    pieces.sort_by_key(|(_, _, run)| run.start);
+                    let mut blob = Vec::new();
+                    for (host, ck, run) in &pieces {
+                        blob.extend_from_slice(slice_run(&view, *host, ck, run));
+                    }
+                    resume = Some(RankCheckpoint {
+                        rank: me as u32,
+                        start_tick: int.resume.start_tick(),
+                        blob,
+                    });
+                    // The verdict-to-boundary distance is replayed.
+                    report.replayed_ticks += u64::from(int.at_tick - int.resume.start_tick());
+                    view = view.without(int.dead);
+                    members.retain(|&m| m != int.dead);
+                    dead = Some(int.dead);
+                }
+                history = (report.trace.clone(), report.fires_per_tick.clone());
+                acc = Some(match acc.take() {
+                    None => report,
+                    Some(prev) => fold_segments(prev, report),
+                });
+                if verdict.is_none() {
+                    boundary_ck = out.checkpoint;
+                    break;
+                }
+            }
+        } else if let Some(cp) = &job.crash {
+            // Parked ranks track deaths from the (shared) plan so their
+            // view of membership stays in lockstep.
+            let in_window = cp.at_tick >= start && seg_end.is_none_or(|e| cp.at_tick < e);
+            if in_window && members.contains(&cp.rank) {
+                dead = Some(cp.rank);
+                members.retain(|&m| m != cp.rank);
+                view = view.without(cp.rank);
+            }
+        }
+
+        let Some(step) = step else { break };
+        let b = step.at_tick;
+
+        // ---- Boundary protocol ----
+        let old_members = members.clone();
+        let mut new_members = members.clone();
+        let mut joiner: Option<Rank> = None;
+        let mut leaver: Option<Rank> = None;
+        match step.event {
+            ElasticEvent::Join(r) => {
+                assert_ne!(Some(r), dead, "cannot admit a crashed rank");
+                joiner = Some(r);
+                new_members.push(r);
+                new_members.sort_unstable();
+            }
+            // A planned leaver that already crashed degenerates the
+            // boundary to a rebalance among the survivors.
+            ElasticEvent::Leave(r) if Some(r) != dead => {
+                leaver = Some(r);
+                new_members.retain(|&m| m != r);
+            }
+            ElasticEvent::Leave(_) | ElasticEvent::Rebalance => {}
+        }
+        assert!(!new_members.is_empty(), "the world emptied out");
+        let mut participants = old_members.clone();
+        participants.extend(joiner);
+        participants.sort_unstable();
+        let involved = participants.contains(&me);
+        let t0 = Instant::now();
+
+        // WELCOME: the incumbents' leader hands the joiner the dynamic
+        // state a parked rank cannot know — the collective sequence
+        // counter and the PGAS epoch.
+        if let Some(j) = joiner {
+            let leader = old_members[0];
+            if me == leader {
+                let mut payload = Vec::with_capacity(16);
+                payload.extend_from_slice(&ctx.comm().seq().to_le_bytes());
+                payload.extend_from_slice(&ctx.pgas().epoch().to_le_bytes());
+                ctx.comm().ctrl_send(j, ELASTIC_WELCOME, b, payload);
+            }
+            if me == j {
+                let w = ctx
+                    .comm()
+                    .ctrl_recv_until(leader, ELASTIC_WELCOME, b, ctx.membership())
+                    .expect("the welcoming leader died before the join boundary");
+                let seq = u64::from_le_bytes(w[0..8].try_into().expect("welcome seq"));
+                let epoch = u64::from_le_bytes(w[8..16].try_into().expect("welcome epoch"));
+                ctx.comm().sync_seq(seq);
+                ctx.pgas().set_epoch(epoch);
+                // Collective admission: fresh pair state on the reliable
+                // layer, liveness flag on, and a seat in the PGAS commit
+                // barrier (quiescent here — every incumbent is inside the
+                // boundary protocol).
+                ctx.reliable()
+                    .expect("elastic worlds install a reliable layer")
+                    .admit_rank(me);
+                ctx.membership().admit(me);
+                ctx.pgas().attach(me);
+                // Parked ticks observed no fires.
+                if job.cfg.tick_stats {
+                    history.1.resize(b as usize, 0);
+                }
+            }
+        }
+
+        // COST: every member publishes its measured per-core tick cost to
+        // the whole world (parked ranks track the layout too — they need
+        // it to compute intersections when they later join). All ranks
+        // then assemble the identical global cost vector and compute the
+        // identical layout.
+        let costs = matches!(step.event, ElasticEvent::Rebalance).then(|| {
+            let my_costs: Vec<u64> = if old_members.contains(&me) {
+                let rep = acc.as_ref().expect("active ranks have a report");
+                assert_eq!(
+                    rep.core_tick_ns.len() as u64,
+                    view.count(me),
+                    "rank {me}: cost vector does not cover the hosted cores"
+                );
+                let payload: Vec<u8> = rep
+                    .core_tick_ns
+                    .iter()
+                    .flat_map(|c| c.to_le_bytes())
+                    .collect();
+                for dst in 0..n_world {
+                    if dst != me && Some(dst) != dead {
+                        ctx.comm().ctrl_send(dst, ELASTIC_COST, b, payload.clone());
+                    }
+                }
+                rep.core_tick_ns.clone()
+            } else {
+                Vec::new()
+            };
+            let mut global = vec![0u64; total as usize];
+            for &o in &old_members {
+                let costs: Vec<u64> = if o == me {
+                    my_costs.clone()
+                } else {
+                    let raw = ctx.comm().ctrl_recv(o, ELASTIC_COST, b);
+                    raw.chunks_exact(8)
+                        .map(|c| u64::from_le_bytes(c.try_into().expect("cost word")))
+                        .collect()
+                };
+                for (core, c) in view.blocks_of(o).into_iter().flatten().zip(costs) {
+                    global[core as usize] = c;
+                }
+            }
+            global
+        });
+        let new_part = member_partition(total, n_world, &new_members, costs.as_deref());
+        let new_view = SurvivorView::remap(new_part, new_members.clone());
+
+        // MIG: old owners ship the checkpoint runs that intersect each new
+        // owner's layout; receivers splice them (plus their own kept runs)
+        // into the resumed checkpoint.
+        if involved {
+            let mut my_runs: Vec<MigrationRun> = Vec::new();
+            if old_members.contains(&me) {
+                let ck = boundary_ck
+                    .as_ref()
+                    .expect("an active rank exits a boundary with its checkpoint");
+                assert_eq!(ck.start_tick(), b, "boundary checkpoint tick mismatch");
+                let mine = view.blocks_of(me);
+                for &m in &new_members {
+                    let runs: Vec<MigrationRun> = intersect_blocks(&mine, &new_view.blocks_of(m))
+                        .iter()
+                        .map(|run| MigrationRun {
+                            global_start: run.start,
+                            blob: slice_run(&view, me, ck, run).to_vec(),
+                        })
+                        .collect();
+                    if m == me {
+                        my_runs.extend(runs);
+                    } else if !runs.is_empty() {
+                        let env = MigrationEnvelope { boundary: b, runs };
+                        mig_bytes += env.total_bytes();
+                        ctx.comm().ctrl_send(m, ELASTIC_MIG, b, env.to_bytes());
+                    }
+                }
+            }
+            if new_members.contains(&me) {
+                let mine_new = new_view.blocks_of(me);
+                for &o in &old_members {
+                    if o == me || intersect_blocks(&view.blocks_of(o), &mine_new).is_empty() {
+                        continue;
+                    }
+                    let raw = ctx.comm().ctrl_recv(o, ELASTIC_MIG, b);
+                    let env = MigrationEnvelope::from_bytes(&raw)
+                        .expect("migration envelope survived the internal channel");
+                    assert_eq!(env.boundary, b, "migration boundary mismatch");
+                    mig_cores += env.core_count() as u64;
+                    my_runs.extend(env.runs);
+                }
+                my_runs.sort_by_key(|r| r.global_start);
+                let blob = my_runs
+                    .iter()
+                    .map(|r| &r.blob[..])
+                    .collect::<Vec<_>>()
+                    .concat();
+                assert_eq!(
+                    blob.len(),
+                    new_view.count(me) as usize * CORE_SNAPSHOT_BYTES,
+                    "rank {me}: spliced checkpoint does not fill the new block"
+                );
+                resume = Some(RankCheckpoint {
+                    rank: me as u32,
+                    start_tick: b,
+                    blob,
+                });
+            } else {
+                resume = None;
+            }
+
+            // DONE: the collective admission verdict — an all-to-all no
+            // participant passes until every other has finished migrating,
+            // so no rank can leak traffic from the next segment into this
+            // boundary.
+            for &p in &participants {
+                if p != me {
+                    ctx.comm().ctrl_send(p, ELASTIC_DONE, b, Vec::new());
+                }
+            }
+            for &p in &participants {
+                if p != me {
+                    let _ = ctx.comm().ctrl_recv(p, ELASTIC_DONE, b);
+                }
+            }
+            if leaver == Some(me) {
+                ctx.pgas().detach(me);
+            }
+            mig_time += t0.elapsed();
+        }
+
+        members = new_members;
+        view = new_view;
+        start = b;
+    }
+
+    let mut out = acc.unwrap_or_default();
+    out.migrated_cores += mig_cores;
+    out.migration_bytes += mig_bytes;
+    out.migration_time += mig_time;
+    (out, durable_error)
+}
 
 /// The world-sized [`Partition`] hosting `total` cores on `members` only:
 /// member blocks split by `costs` (measured per-core tick cost; `None`
@@ -800,10 +985,7 @@ fn member_partition(
 /// core runs one old owner must ship to one new owner. Each run falls
 /// inside exactly one block of either side, so its snapshot bytes are
 /// contiguous in both hosts' flat checkpoint blobs.
-fn intersect_blocks(
-    a: &[std::ops::Range<u64>],
-    b: &[std::ops::Range<u64>],
-) -> Vec<std::ops::Range<u64>> {
+fn intersect_blocks(a: &[Range<u64>], b: &[Range<u64>]) -> Vec<Range<u64>> {
     let mut out = Vec::new();
     for ra in a {
         for rb in b {
@@ -818,171 +1000,17 @@ fn intersect_blocks(
     out
 }
 
-/// Slices the snapshot bytes of global core range `run` out of `host`'s
-/// boundary checkpoint under `view`.
-fn slice_run(
+/// The snapshot bytes of global core range `run` in `host`'s boundary
+/// checkpoint under `view`.
+fn slice_run<'a>(
     view: &SurvivorView,
     host: Rank,
-    ck: &RankCheckpoint,
-    run: &std::ops::Range<u64>,
-) -> Vec<u8> {
+    ck: &'a RankCheckpoint,
+    run: &Range<u64>,
+) -> &'a [u8] {
     let lo = view.local_index(host, run.start) * CORE_SNAPSHOT_BYTES;
     let hi = lo + (run.end - run.start) as usize * CORE_SNAPSHOT_BYTES;
-    ck.blob[lo..hi].to_vec()
-}
-
-/// What one rank carries out of a segment run (including any in-segment
-/// crash recovery): its stitched report, its boundary checkpoint (when
-/// the segment ended at an elastic boundary), the possibly degraded view,
-/// and the rank that died, if one did.
-struct SegmentOutcome {
-    report: RankReport,
-    checkpoint: Option<RankCheckpoint>,
-    view: SurvivorView,
-    dead: Option<Rank>,
-}
-
-/// Runs one elastic segment `[start of resume .. seg_end)` on this rank,
-/// driving the in-segment crash-survival protocol if a peer dies: the
-/// survivors' verdict interrupts the run, the buddy adopts the victim's
-/// cores from its replica, and the degraded segment replays from the
-/// common boundary to the same segment end. `seed` is the rank's recorded
-/// history up to the segment start (so replicas shipped inside the
-/// segment carry the full observable past).
-#[allow(clippy::too_many_arguments)]
-fn run_segment(
-    ctx: &RankCtx,
-    view: &SurvivorView,
-    model: &NetworkModel,
-    cfg: &EngineConfig,
-    policy: RecoveryPolicy,
-    crash: Option<CrashPlan>,
-    resume: Option<RankCheckpoint>,
-    seed: (Vec<Spike>, Vec<u64>),
-    seg_end: Option<u32>,
-) -> SegmentOutcome {
-    let me = ctx.rank();
-    let configs: Vec<CoreConfig> = view
-        .blocks_of(me)
-        .into_iter()
-        .flat_map(|b| {
-            model.cores[b.start as usize..b.end as usize]
-                .iter()
-                .cloned()
-        })
-        .collect();
-    let opts = RunOptions {
-        checkpoint_at: seg_end,
-        kill_at: seg_end,
-        resume,
-        recovery: Some(policy),
-        crash,
-        seed_history: Some(seed),
-        durability: None,
-    };
-    let mut out = run_rank_view(ctx, view, configs, &model.initial_deliveries, cfg, &opts);
-    let Some(int) = out.interrupt.take() else {
-        return SegmentOutcome {
-            report: out.report,
-            checkpoint: out.checkpoint,
-            view: view.clone(),
-            dead: None,
-        };
-    };
-
-    // A peer died inside this segment: adopt, merge, and replay the rest
-    // of the segment in the degraded view. The engine already wound the
-    // report back to the common boundary.
-    let mut rep1 = out.report;
-    let view2 = view.without(int.dead);
-    let configs2: Vec<CoreConfig> = view2
-        .blocks_of(me)
-        .into_iter()
-        .flat_map(|b| {
-            model.cores[b.start as usize..b.end as usize]
-                .iter()
-                .cloned()
-        })
-        .collect();
-    // Merge own + adopted cores in ascending global order — the layout
-    // `view2.local_index` expects. Each original-rank block is contiguous
-    // in its old host's checkpoint, so this is a sequence of range copies.
-    let mut adopted_cores = 0u64;
-    let mut pieces: Vec<(std::ops::Range<u64>, bool)> =
-        view.blocks_of(me).into_iter().map(|b| (b, false)).collect();
-    if let Some(rp) = &int.adopted {
-        adopted_cores = rp.ckpt.core_count() as u64;
-        pieces.extend(view.blocks_of(int.dead).into_iter().map(|b| (b, true)));
-        // The victim's recorded history died with its thread; its replica
-        // carries it, and it joins this rank's own pre-boundary history.
-        rep1.trace.extend(rp.trace.iter().copied());
-        if rep1.fires_per_tick.len() < rp.fires_per_tick.len() {
-            rep1.fires_per_tick.resize(rp.fires_per_tick.len(), 0);
-        }
-        for (a, b) in rep1.fires_per_tick.iter_mut().zip(&rp.fires_per_tick) {
-            *a += b;
-        }
-    }
-    pieces.sort_by_key(|(r, _)| r.start);
-    let mut blob = Vec::new();
-    for (run, from_dead) in &pieces {
-        let (host, ck) = if *from_dead {
-            (
-                int.dead,
-                &int.adopted
-                    .as_ref()
-                    .expect("adopted pieces imply a replica")
-                    .ckpt,
-            )
-        } else {
-            (me, &int.resume)
-        };
-        blob.extend_from_slice(&slice_run(view, host, ck, run));
-    }
-    let merged = RankCheckpoint {
-        rank: me as u32,
-        start_tick: int.resume.start_tick(),
-        blob,
-    };
-    let seed2 = (
-        rep1.trace.clone(),
-        if cfg.tick_stats {
-            rep1.fires_per_tick.clone()
-        } else {
-            Vec::new()
-        },
-    );
-    let opts2 = RunOptions {
-        checkpoint_at: seg_end,
-        kill_at: seg_end,
-        resume: Some(merged),
-        recovery: Some(policy),
-        crash: None,
-        seed_history: Some(seed2),
-        durability: None,
-    };
-    let out2 = run_rank_view(
-        ctx,
-        &view2,
-        configs2,
-        &model.initial_deliveries,
-        cfg,
-        &opts2,
-    );
-    assert!(
-        out2.interrupt.is_none(),
-        "one crash per run: the degraded segment must finish"
-    );
-    let gap = u64::from(int.at_tick - int.resume.start_tick());
-    let mut report = fold_segments(rep1, out2.report);
-    report.replayed_ticks += gap;
-    report.adopted_cores += adopted_cores;
-    SegmentOutcome {
-        report,
-        checkpoint: out2.checkpoint,
-        view: view2,
-        dead: Some(int.dead),
-    }
+    &ck.blob[lo..hi]
 }
 
 /// Folds an earlier segment's report into a later one whose history was
@@ -1023,395 +1051,6 @@ fn fold_segments(prev: RankReport, next: RankReport) -> RankReport {
     out.durable_time += prev.durable_time;
     out.durable_generations += prev.durable_generations;
     out
-}
-
-/// Simulates `model` under a deterministic schedule of live membership
-/// transitions: ranks join and leave the running world at tick
-/// boundaries, cores migrate between ranks over checkpoint splices, and
-/// the spike trace stays bit-identical to a run that never scaled.
-///
-/// Every segment runs crash-survival-armed (`policy.survive_crashes` is
-/// forced on), so buddy replication is live throughout and an optional
-/// `crash` composes with the schedule: the victim's cores are adopted
-/// mid-segment exactly as in [`run_surviving`], and later transitions
-/// proceed among the survivors. Optional message faults (`plan`) compose
-/// as in [`run_recovering`].
-///
-/// At each boundary the active ranks exit their segment holding a
-/// checkpoint of that boundary, then run the admission protocol over the
-/// control channel: WELCOME (a joiner aligns its collective sequence
-/// number and PGAS epoch with the incumbents'), COST (rebalance only —
-/// every member publishes its measured per-core tick cost so all ranks
-/// compute the identical [`Partition::by_cost`] layout), MIG (each old
-/// owner ships the checkpoint runs that intersect each new owner's
-/// block), and DONE (the collective admission verdict — an all-to-all
-/// barrier no rank passes until every participant finished migrating).
-///
-/// # Errors
-/// Returns the first [`ModelError`] if the model is inconsistent.
-///
-/// # Panics
-/// Panics when the plan is unsatisfiable (see [`ElasticPlan`]) or a rank
-/// other than the planned crash victim dies.
-#[allow(clippy::too_many_lines)]
-pub fn run_elastic(
-    model: &NetworkModel,
-    world: WorldConfig,
-    cfg: &EngineConfig,
-    plan: Option<FaultPlan>,
-    crash: Option<CrashPlan>,
-    elastic: &ElasticPlan,
-    policy: RecoveryPolicy,
-) -> Result<RunReport, ModelError> {
-    model.validate()?;
-    elastic.validate(world.ranks, cfg.ticks, crash.as_ref());
-    let policy = RecoveryPolicy {
-        survive_crashes: true,
-        ..policy
-    };
-    let n_world = world.ranks;
-    let total = model.total_cores();
-    let metrics = Arc::new(TransportMetrics::new());
-    let faults = plan.map(|p| Arc::new(FaultInjector::new(p, n_world)));
-    let rely_cfg = match &plan {
-        Some(p) => ReliableConfig::against(p),
-        None => ReliableConfig::default(),
-    };
-    let rely = Arc::new(ReliableWorld::new(n_world, Arc::clone(&metrics), rely_cfg));
-    let elastic = elastic.clone();
-    let started = Instant::now();
-    let results =
-        World::try_run_with_recovery(world, Arc::clone(&metrics), faults, Some(rely), |ctx| {
-            let me = ctx.rank();
-            let mut members = elastic.initial.clone();
-            let mut part = member_partition(total, n_world, &members, None);
-            let mut view = SurvivorView::remap(part.clone(), members.clone());
-            // Standbys sit outside the PGAS commit barrier until admitted.
-            if !members.contains(&me) {
-                ctx.pgas().detach(me);
-            }
-            let mut acc: Option<RankReport> = None;
-            let mut resume: Option<RankCheckpoint> = None;
-            let mut history: (Vec<Spike>, Vec<u64>) = (Vec::new(), Vec::new());
-            let mut dead: Option<Rank> = None;
-            let mut start = 0u32;
-            let mut adopted_total = 0u64;
-            let mut mig_cores = 0u64;
-            let mut mig_bytes = 0u64;
-            let mut mig_time = Duration::ZERO;
-
-            for i in 0..=elastic.steps.len() {
-                let step = elastic.steps.get(i);
-                let seg_end = step.map(|s| s.at_tick);
-
-                // ---- Run the segment (active ranks only) ----
-                let mut boundary_ck: Option<RankCheckpoint> = None;
-                if members.contains(&me) {
-                    let seg = run_segment(
-                        ctx,
-                        &view,
-                        model,
-                        cfg,
-                        policy,
-                        crash,
-                        resume.take(),
-                        (
-                            if cfg.record_trace {
-                                history.0.clone()
-                            } else {
-                                Vec::new()
-                            },
-                            if cfg.tick_stats {
-                                history.1.clone()
-                            } else {
-                                Vec::new()
-                            },
-                        ),
-                        seg_end,
-                    );
-                    if let Some(d) = seg.dead {
-                        let cp = crash.expect("an unplanned rank death");
-                        assert_eq!(d, cp.rank, "only the planned victim may die");
-                        dead = Some(d);
-                        members.retain(|&m| m != d);
-                        adopted_total += seg.report.adopted_cores;
-                    }
-                    view = seg.view;
-                    history = (seg.report.trace.clone(), seg.report.fires_per_tick.clone());
-                    boundary_ck = seg.checkpoint;
-                    acc = Some(match acc.take() {
-                        None => seg.report,
-                        Some(a) => fold_segments(a, seg.report),
-                    });
-                } else if let Some(cp) = &crash {
-                    // Parked ranks track deaths from the (shared) plan so
-                    // their view of membership stays in lockstep.
-                    let in_window = cp.at_tick >= start && seg_end.is_none_or(|e| cp.at_tick < e);
-                    if in_window && members.contains(&cp.rank) {
-                        dead = Some(cp.rank);
-                        members.retain(|&m| m != cp.rank);
-                        view = view.without(cp.rank);
-                    }
-                }
-
-                let Some(step) = step else { break };
-                let b = step.at_tick;
-
-                // ---- Boundary protocol ----
-                let old_members = members.clone();
-                let mut new_members = members.clone();
-                let mut joiner: Option<Rank> = None;
-                let mut leaver: Option<Rank> = None;
-                match step.event {
-                    ElasticEvent::Join(r) => {
-                        assert_ne!(Some(r), dead, "cannot admit a crashed rank");
-                        joiner = Some(r);
-                        new_members.push(r);
-                        new_members.sort_unstable();
-                    }
-                    ElasticEvent::Leave(r) => {
-                        if Some(r) == dead {
-                            // The planned leaver already crashed; the
-                            // boundary degenerates to a rebalance among
-                            // the survivors.
-                        } else {
-                            leaver = Some(r);
-                            new_members.retain(|&m| m != r);
-                        }
-                    }
-                    ElasticEvent::Rebalance => {}
-                }
-                assert!(!new_members.is_empty(), "the world emptied out");
-                let participants: Vec<Rank> = {
-                    let mut p = old_members.clone();
-                    if let Some(j) = joiner {
-                        p.push(j);
-                        p.sort_unstable();
-                    }
-                    p
-                };
-                let involved = participants.contains(&me);
-                let rebalance = matches!(step.event, ElasticEvent::Rebalance);
-                let t0 = Instant::now();
-
-                // WELCOME: the incumbents' leader hands the joiner the
-                // dynamic state a parked rank cannot know — the collective
-                // sequence counter and the PGAS epoch.
-                if let Some(j) = joiner {
-                    let leader = old_members[0];
-                    if me == leader {
-                        let mut payload = Vec::with_capacity(16);
-                        payload.extend_from_slice(&ctx.comm().seq().to_le_bytes());
-                        payload.extend_from_slice(&ctx.pgas().epoch().to_le_bytes());
-                        ctx.comm().ctrl_send(j, ELASTIC_WELCOME, b, payload);
-                    }
-                    if me == j {
-                        let w = ctx
-                            .comm()
-                            .ctrl_recv_until(leader, ELASTIC_WELCOME, b, ctx.membership())
-                            .expect("the welcoming leader died before the join boundary");
-                        let seq = u64::from_le_bytes(w[0..8].try_into().expect("welcome seq"));
-                        let epoch = u64::from_le_bytes(w[8..16].try_into().expect("welcome epoch"));
-                        ctx.comm().sync_seq(seq);
-                        ctx.pgas().set_epoch(epoch);
-                        // Collective admission: fresh pair state on the
-                        // reliable layer, liveness flag on, and a seat in
-                        // the PGAS commit barrier (quiescent here — every
-                        // incumbent is inside the boundary protocol).
-                        ctx.reliable()
-                            .expect("elastic worlds install a reliable layer")
-                            .admit_rank(me);
-                        ctx.membership().admit(me);
-                        ctx.pgas().attach(me);
-                        // Parked ticks observed no fires.
-                        if cfg.tick_stats {
-                            history.1.resize(b as usize, 0);
-                        }
-                    }
-                }
-
-                // COST: every member publishes its measured per-core tick
-                // cost to the whole world (parked ranks track the layout
-                // too — they need it to compute intersections when they
-                // later join). All ranks then assemble the identical
-                // global cost vector and compute the identical layout.
-                let new_part = if rebalance {
-                    let my_costs: Vec<u64> = if old_members.contains(&me) {
-                        let rep = acc.as_ref().expect("active ranks have a report");
-                        assert_eq!(
-                            rep.core_tick_ns.len() as u64,
-                            view.count(me),
-                            "rank {me}: cost vector does not cover the hosted cores"
-                        );
-                        rep.core_tick_ns.clone()
-                    } else {
-                        Vec::new()
-                    };
-                    if old_members.contains(&me) {
-                        let mut payload = Vec::with_capacity(8 * my_costs.len());
-                        for c in &my_costs {
-                            payload.extend_from_slice(&c.to_le_bytes());
-                        }
-                        for dst in 0..n_world {
-                            if dst != me && Some(dst) != dead {
-                                ctx.comm().ctrl_send(dst, ELASTIC_COST, b, payload.clone());
-                            }
-                        }
-                    }
-                    let mut global = vec![0u64; total as usize];
-                    for &o in &old_members {
-                        let costs: Vec<u64> = if o == me {
-                            my_costs.clone()
-                        } else {
-                            let raw = ctx.comm().ctrl_recv(o, ELASTIC_COST, b);
-                            raw.chunks_exact(8)
-                                .map(|c| u64::from_le_bytes(c.try_into().expect("cost word")))
-                                .collect()
-                        };
-                        let mut at = 0usize;
-                        for block in view.blocks_of(o) {
-                            for core in block {
-                                global[core as usize] = costs[at];
-                                at += 1;
-                            }
-                        }
-                    }
-                    member_partition(total, n_world, &new_members, Some(&global))
-                } else {
-                    member_partition(total, n_world, &new_members, None)
-                };
-                let new_view = SurvivorView::remap(new_part.clone(), new_members.clone());
-
-                // MIG: old owners ship the checkpoint runs that intersect
-                // each new owner's layout; receivers splice them (plus
-                // their own kept runs) into the resumed checkpoint.
-                if involved {
-                    let mut my_runs: Vec<MigrationRun> = Vec::new();
-                    if old_members.contains(&me) {
-                        let ck = boundary_ck
-                            .as_ref()
-                            .expect("an active rank exits a boundary with its checkpoint");
-                        assert_eq!(ck.start_tick(), b, "boundary checkpoint tick mismatch");
-                        let mine = view.blocks_of(me);
-                        for &m in &new_members {
-                            let runs = intersect_blocks(&mine, &new_view.blocks_of(m));
-                            if m == me {
-                                for run in &runs {
-                                    my_runs.push(MigrationRun {
-                                        global_start: run.start,
-                                        blob: slice_run(&view, me, ck, run),
-                                    });
-                                }
-                            } else if !runs.is_empty() {
-                                let env = MigrationEnvelope {
-                                    boundary: b,
-                                    runs: runs
-                                        .iter()
-                                        .map(|run| MigrationRun {
-                                            global_start: run.start,
-                                            blob: slice_run(&view, me, ck, run),
-                                        })
-                                        .collect(),
-                                };
-                                mig_bytes += env.total_bytes();
-                                ctx.comm().ctrl_send(m, ELASTIC_MIG, b, env.to_bytes());
-                            }
-                        }
-                    }
-                    if new_members.contains(&me) {
-                        let mine_new = new_view.blocks_of(me);
-                        for &o in &old_members {
-                            if o == me {
-                                continue;
-                            }
-                            let expected = intersect_blocks(&view.blocks_of(o), &mine_new);
-                            if expected.is_empty() {
-                                continue;
-                            }
-                            let raw = ctx.comm().ctrl_recv(o, ELASTIC_MIG, b);
-                            let env = MigrationEnvelope::from_bytes(&raw)
-                                .expect("migration envelope survived the internal channel");
-                            assert_eq!(env.boundary, b, "migration boundary mismatch");
-                            mig_cores += env.core_count() as u64;
-                            my_runs.extend(env.runs);
-                        }
-                        my_runs.sort_by_key(|r| r.global_start);
-                        let mut blob =
-                            Vec::with_capacity(my_runs.iter().map(|r| r.blob.len()).sum());
-                        for run in &my_runs {
-                            blob.extend_from_slice(&run.blob);
-                        }
-                        assert_eq!(
-                            blob.len(),
-                            new_view.count(me) as usize * CORE_SNAPSHOT_BYTES,
-                            "rank {me}: spliced checkpoint does not fill the new block"
-                        );
-                        resume = Some(RankCheckpoint {
-                            rank: me as u32,
-                            start_tick: b,
-                            blob,
-                        });
-                    } else {
-                        resume = None;
-                    }
-
-                    // DONE: the collective admission verdict — an
-                    // all-to-all no participant passes until every other
-                    // has finished migrating, so no rank can leak traffic
-                    // from the next segment into this boundary.
-                    for &p in &participants {
-                        if p != me {
-                            ctx.comm().ctrl_send(p, ELASTIC_DONE, b, Vec::new());
-                        }
-                    }
-                    for &p in &participants {
-                        if p != me {
-                            let _ = ctx.comm().ctrl_recv(p, ELASTIC_DONE, b);
-                        }
-                    }
-                    if leaver == Some(me) {
-                        ctx.pgas().detach(me);
-                    }
-                    mig_time += t0.elapsed();
-                }
-
-                members = new_members;
-                part = new_part;
-                view = new_view;
-                start = b;
-            }
-            let _ = (start, &part);
-
-            let mut out = acc.unwrap_or_default();
-            out.adopted_cores = adopted_total;
-            out.migrated_cores += mig_cores;
-            out.migration_bytes += mig_bytes;
-            out.migration_time += mig_time;
-            out
-        });
-
-    let mut ranks = Vec::with_capacity(n_world);
-    for (rank, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(report) => ranks.push(report),
-            Err(failure) => {
-                let cp = crash.expect("a rank died with no crash planned");
-                assert_eq!(rank, cp.rank, "only the planned victim may die");
-                let rc = failure
-                    .crash()
-                    .unwrap_or_else(|| panic!("victim died abnormally: {}", failure.message()));
-                assert_eq!((rc.rank, rc.tick), (cp.rank, cp.at_tick));
-                ranks.push(RankReport::default());
-            }
-        }
-    }
-    let wall = started.elapsed();
-    Ok(RunReport {
-        ranks,
-        wall,
-        ticks: cfg.ticks,
-        transport: metrics.snapshot(),
-    })
 }
 
 #[cfg(test)]

@@ -704,7 +704,6 @@ mod tests {
             let d = DeltaReplica::diff(
                 base as u32,
                 gen as u32,
-                vec![0, 1],
                 &old.ckpt.blob,
                 &cur,
                 Vec::new(),

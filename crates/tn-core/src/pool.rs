@@ -112,13 +112,6 @@ pub struct CorePool {
     events: Vec<u64>,
     /// Engine quiescence bookkeeping: core produced no activity last tick.
     dormant: Vec<bool>,
-    /// Slot state mutated since the last [`CorePool::clear_dirty`] —
-    /// the delta-replication bitmap. Set by every snapshot-visible
-    /// mutation path (deliver, phases, restore, `set_potential`); the
-    /// skip paths leave it clear because a skipped slot's snapshot
-    /// changes only in its tick counter, which the delta receiver
-    /// reconstructs arithmetically.
-    dirty: Vec<bool>,
     #[cfg(debug_assertions)]
     synapse_done: Vec<bool>,
     word_kernels: bool,
@@ -166,7 +159,6 @@ impl CorePool {
             two_pass: Vec::with_capacity(n),
             events: Vec::with_capacity(n),
             dormant: Vec::with_capacity(n),
-            dirty: Vec::with_capacity(n),
             #[cfg(debug_assertions)]
             synapse_done: Vec::with_capacity(n),
             word_kernels: true,
@@ -262,7 +254,6 @@ impl CorePool {
         self.two_pass.push(0);
         self.events.push(0);
         self.dormant.push(false);
-        self.dirty.push(true);
         #[cfg(debug_assertions)]
         self.synapse_done.push(false);
         Ok(slot)
@@ -352,25 +343,6 @@ impl CorePool {
         }
     }
 
-    /// Whether slot `k` has been mutated since the last
-    /// [`CorePool::clear_dirty`].
-    #[must_use]
-    pub fn dirty(&self, k: usize) -> bool {
-        self.dirty[k]
-    }
-
-    /// Number of slots currently marked dirty.
-    #[must_use]
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().filter(|&&d| d).count()
-    }
-
-    /// Clears every slot's dirty flag — called after shipping a delta
-    /// replica, opening the next dirty epoch.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.fill(false);
-    }
-
     /// Serializes slot `k` into the versioned 3632-byte `TNCS` snapshot.
     #[must_use]
     pub fn snapshot_bytes(&self, k: usize) -> Vec<u8> {
@@ -440,7 +412,6 @@ impl CorePool {
                 + self.events.capacity())
                 * 8
             + self.dormant.capacity()
-            + self.dirty.capacity()
     }
 
     /// Bytes one boxed `NeurosynapticCore` used to keep resident — the
@@ -497,7 +468,6 @@ impl CorePool {
             two_pass: &mut self.two_pass,
             events: &mut self.events,
             dormant: &mut self.dormant,
-            dirty: &mut self.dirty,
             #[cfg(debug_assertions)]
             synapse_done: &mut self.synapse_done,
             word_kernels: self.word_kernels,
@@ -567,7 +537,6 @@ pub struct PoolSlice<'a> {
     two_pass: &'a mut [u64],
     events: &'a mut [u64],
     dormant: &'a mut [bool],
-    dirty: &'a mut [bool],
     #[cfg(debug_assertions)]
     synapse_done: &'a mut [bool],
     word_kernels: bool,
@@ -610,25 +579,6 @@ impl<'a> PoolSlice<'a> {
         self.events[k]
     }
 
-    /// Whether slice-local slot `k` took a snapshot-visible mutation since
-    /// the dirty bitmap was last cleared (see [`CorePool::dirty`]).
-    #[must_use]
-    pub fn dirty(&self, k: usize) -> bool {
-        self.dirty[k]
-    }
-
-    /// Dirtied slots in this slice since the last clear.
-    #[must_use]
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.iter().filter(|&&d| d).count()
-    }
-
-    /// Clears the slice's dirty bits — call after shipping a delta
-    /// replica, so the next delta covers exactly the mutations since.
-    pub fn clear_dirty(&mut self) {
-        self.dirty.fill(false);
-    }
-
     /// Sets slot `k`'s delivered-events count (engine bookkeeping).
     pub fn set_events(&mut self, k: usize, events: u64) {
         self.events[k] = events;
@@ -655,7 +605,6 @@ impl<'a> PoolSlice<'a> {
             self.delay_live[k] += 1;
         }
         self.delay_bits[a] |= mask;
-        self.dirty[k] = true;
     }
 
     /// Synapse phase for slot `k` at tick `t`: drains due deliveries into
@@ -689,7 +638,6 @@ impl<'a> PoolSlice<'a> {
         };
         self.syn_events[k] += events;
         self.ticks[k] += 1;
-        self.dirty[k] = true;
         #[cfg(debug_assertions)]
         {
             self.synapse_done[k] = true;
@@ -738,7 +686,6 @@ impl<'a> PoolSlice<'a> {
             );
             self.synapse_done[k] = false;
         }
-        self.dirty[k] = true;
         let changed = if self.word_kernels {
             self.masked_sweep(k, tick, min_stepped, emit)
         } else {
@@ -1012,7 +959,6 @@ impl<'a> PoolSlice<'a> {
     pub fn set_potential(&mut self, k: usize, neuron: usize, v: i32) {
         self.potentials[k * CORE_NEURONS + neuron] = v;
         self.restless[k][neuron / 64] |= 1u64 << (neuron % 64);
-        self.dirty[k] = true;
     }
 
     /// Lifetime fire count of slot `k`.
@@ -1111,7 +1057,6 @@ impl<'a> PoolSlice<'a> {
         self.touched[k] = EMPTY_MASK;
         self.events[k] = 0;
         self.dormant[k] = false;
-        self.dirty[k] = true;
         #[cfg(debug_assertions)]
         {
             self.synapse_done[k] = false;
@@ -1172,7 +1117,6 @@ pub struct PoolShards<'p> {
     two_pass: *mut u64,
     events: *mut u64,
     dormant: *mut bool,
-    dirty: *mut bool,
     #[cfg(debug_assertions)]
     synapse_done: *mut bool,
     word_kernels: bool,
@@ -1219,7 +1163,6 @@ impl<'p> PoolShards<'p> {
             two_pass: pool.two_pass.as_mut_ptr(),
             events: pool.events.as_mut_ptr(),
             dormant: pool.dormant.as_mut_ptr(),
-            dirty: pool.dirty.as_mut_ptr(),
             #[cfg(debug_assertions)]
             synapse_done: pool.synapse_done.as_mut_ptr(),
             word_kernels: pool.word_kernels,
@@ -1291,7 +1234,6 @@ impl<'p> PoolShards<'p> {
                 two_pass: std::slice::from_raw_parts_mut(self.two_pass.add(s), n),
                 events: std::slice::from_raw_parts_mut(self.events.add(s), n),
                 dormant: std::slice::from_raw_parts_mut(self.dormant.add(s), n),
-                dirty: std::slice::from_raw_parts_mut(self.dirty.add(s), n),
                 #[cfg(debug_assertions)]
                 synapse_done: std::slice::from_raw_parts_mut(self.synapse_done.add(s), n),
                 word_kernels: self.word_kernels,
@@ -1722,50 +1664,6 @@ mod tests {
         assert_eq!(pool.potentials.len(), CORE_NEURONS);
     }
 
-    #[test]
-    fn dirty_bitmap_tracks_mutations_not_skips() {
-        let mut pool = CorePool::new();
-        pool.push(gauntlet_config(0)).unwrap();
-        pool.push(CoreConfig::blank(1, 9)).unwrap();
-        assert_eq!(pool.dirty_count(), 2, "freshly pushed slots start dirty");
-        pool.clear_dirty();
-        assert_eq!(pool.dirty_count(), 0);
-
-        // A delivery dirties its slot only.
-        let mut slice = pool.full();
-        slice.deliver(0, 3, 1);
-        assert!(pool.dirty(0));
-        assert!(!pool.dirty(1));
-        pool.clear_dirty();
-
-        // Real phases dirty; the quiescence skip paths do not.
-        let mut slice = pool.full();
-        assert!(!slice.tick_synapse(0, 1, true), "in-flight spike: no skip");
-        slice.tick_neuron(0, 1, true, &mut |_| {});
-        assert!(slice.tick_synapse(1, 1, true), "idle blank core skips");
-        slice.tick_neuron(1, 1, true, &mut |_| {});
-        assert!(pool.dirty(0));
-        // Slot 1's first neuron sweep runs (dormancy not yet established),
-        // so it is dirty this tick...
-        assert!(pool.dirty(1));
-        pool.clear_dirty();
-        // ...but from the next tick on both phases skip and it stays clean.
-        let mut slice = pool.full();
-        assert!(slice.tick_synapse(1, 2, true));
-        assert!(slice.tick_neuron(1, 2, true, &mut |_| {}));
-        assert!(!pool.dirty(1));
-
-        // Restore and set_potential both dirty their slot.
-        let snap = pool.snapshot_bytes(1);
-        let mut slice = pool.full();
-        slice.restore(1, &snap).unwrap();
-        assert!(pool.dirty(1));
-        pool.clear_dirty();
-        let mut slice = pool.full();
-        slice.set_potential(1, 0, 5);
-        assert!(pool.dirty(1));
-    }
-
     /// A clean (skip-path) slot's snapshot differs from its epoch-base
     /// snapshot *only* in the tick counter at bytes `[16..24)` — the
     /// invariant that lets a delta replica patch clean mirror slots
@@ -1779,14 +1677,12 @@ mod tests {
         slice.tick_synapse(0, 0, true);
         slice.tick_neuron(0, 0, true, &mut |_| {});
         let base = pool.snapshot_bytes(0);
-        pool.clear_dirty();
 
         let mut slice = pool.full();
         for t in 1..=5u32 {
             assert!(slice.tick_synapse(0, t, true), "must stay on skip path");
             assert!(slice.tick_neuron(0, t, true, &mut |_| {}));
         }
-        assert!(!pool.dirty(0));
         let now = pool.snapshot_bytes(0);
         assert_eq!(&base[..16], &now[..16]);
         assert_eq!(&base[24..], &now[24..]);

@@ -370,3 +370,25 @@ fn cocomac_1k_elastic_soak() {
         assert!(report.total_migrated_cores() > 0, "{ctx}: migration ran");
     }
 }
+
+/// A rank death no crash plan names keeps its own cause: a fault rate the
+/// rollback budget cannot outrun kills every rank mid-segment, and the
+/// driver re-raises that panic instead of replacing it with its own.
+#[test]
+#[should_panic(expected = "rollback budget exhausted")]
+fn unplanned_death_keeps_its_cause() {
+    let model = NetworkModel::relay_ring(8, 4, 1);
+    let plan = ElasticPlan::new(vec![0, 1], vec![ElasticStep::rebalance(7)]);
+    let _ = run_elastic(
+        &model,
+        WorldConfig::flat(2),
+        &engine(20, Backend::Mpi),
+        Some(FaultPlan::new(7, compass::comm::FaultKind::Drop, 1000)),
+        None,
+        &plan,
+        RecoveryPolicy {
+            max_rollbacks: 0,
+            ..RecoveryPolicy::every(4)
+        },
+    );
+}
