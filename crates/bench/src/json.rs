@@ -474,7 +474,7 @@ const POINT_LABELS: [&str; 8] = [
 /// earlier one, `old`: one row per numeric field present in both whose
 /// value changed, as `section[point] field  old -> new  ±%`. Points of an
 /// array section are matched by position and labelled by their
-/// [`POINT_LABELS`] fields; sections or points only one side has are
+/// `POINT_LABELS` fields; sections or points only one side has are
 /// listed as added or removed, and unchanged fields (sizes, counts,
 /// settings) are only counted.
 ///
@@ -594,6 +594,7 @@ pub fn validate_kernels_json(text: &str) -> Result<(), String> {
                 "full_ns_per_neuron",
                 "two_pass_ns_per_neuron",
                 "speedup",
+                "pool_ns_per_neuron",
             ],
         ),
         (
@@ -884,7 +885,8 @@ mod tests {
              \"dispatch\": {{\"min_due\": 4, \"min_events\": 256}}, \
              \"neuron_sweep\": {{\"full_ns\": 1, \"masked_ns\": 1, \"speedup\": 1}}, \
              \"neuron_sweep_cocomac\": {{\"stepped_per_tick\": 256, \
-             \"full_ns_per_neuron\": 1, \"two_pass_ns_per_neuron\": 1, \"speedup\": 1}}, \
+             \"full_ns_per_neuron\": 1, \"two_pass_ns_per_neuron\": 1, \"speedup\": 1, \
+             \"pool_ns_per_neuron\": 1}}, \
              \"checkpoint\": {{\"core_snapshot_bytes\": 3632, \
              \"snapshot_ns_per_core\": 1, \"restore_ns_per_core\": 1}}, \
              \"recovery\": {{\"baseline_ns_per_tick\": 1, \"reliable_ns_per_tick\": 1, \

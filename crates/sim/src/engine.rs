@@ -49,7 +49,7 @@
 //! ([`tn_core::PoolSlice::tick_synapse`]), and a core that
 //! reached a fixed point of its zero-input dynamics — and draws no
 //! per-tick randomness — skips the 256-neuron sweep entirely
-//! ([`tn_core::PoolSlice::tick_neuron`]). Both skips leave
+//! ([`tn_core::PoolSlice::tick_neurons`]). Both skips leave
 //! core state (potentials, PRNG stream, activity counters) bit-identical
 //! to the full phases; [`EngineConfig::quiescence`] force-disables them
 //! for A/B verification, and [`RankReport::synapse_skips`] /
@@ -1197,27 +1197,21 @@ pub fn run_rank_view(
             } = bufs;
             // SAFETY: own tid's disjoint slot range, once per region.
             let mut my = unsafe { shards.slice(shard_range(tid), due) };
-            // The sweep runs across cores in pool order: one pass over the
-            // rank's contiguous potential arena instead of 256-neuron hops
-            // between boxed cores.
-            for k in 0..my.len() {
-                let skipped = my.tick_neuron(k, t, cfg.quiescence, &mut |spike| {
-                    if cfg.record_trace {
-                        trace.push(spike);
-                    }
-                    let dest = view.rank_of(spike.target.core);
-                    if dest == me {
-                        local.push(spike);
-                    } else {
-                        spike.encode_into(&mut remote[dest]);
-                    }
-                });
-                if skipped {
-                    // Fixed point, zero input, no per-tick randomness: the
-                    // full sweep would have been the identity.
-                    *neuron_skips += 1;
+            // The sweep runs across cores in pool order, in blocks of
+            // `DRAW_LANES` cores whose PRNG streams advance together.
+            // Skipped cores sit at a fixed point with zero input and no
+            // per-tick randomness: the full sweep would be the identity.
+            *neuron_skips += my.tick_neurons(t, cfg.quiescence, &mut |spike| {
+                if cfg.record_trace {
+                    trace.push(spike);
                 }
-            }
+                let dest = view.rank_of(spike.target.core);
+                if dest == me {
+                    local.push(spike);
+                } else {
+                    spike.encode_into(&mut remote[dest]);
+                }
+            }) as u64;
         });
 
         // Aggregate per-thread buffers (paper: threadAggregate into

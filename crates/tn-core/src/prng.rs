@@ -44,12 +44,8 @@ impl CorePrng {
     /// Advances the generator one step and returns a 64-bit draw.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        self.state = xorshift_step(self.state);
+        self.state.wrapping_mul(XORSHIFT_STAR)
     }
 
     /// An 8-bit draw, as consumed by the stochastic weight/leak comparators
@@ -57,7 +53,8 @@ impl CorePrng {
     /// magnitude).
     #[inline]
     pub fn next_u8(&mut self) -> u8 {
-        (self.next_u64() >> 32) as u8
+        self.state = xorshift_step(self.state);
+        draw_u8(self.state)
     }
 
     /// A uniformly distributed value in `0..n` via rejection-free Lemire
@@ -96,6 +93,25 @@ impl CorePrng {
         assert!(state != 0, "zero is not a reachable xorshift64* state");
         self.state = state;
     }
+}
+
+/// The xorshift64* output multiplier.
+const XORSHIFT_STAR: u64 = 0x2545_F491_4F6C_DD1D;
+
+/// One xorshift64 state transition: the serial chain every draw waits on.
+#[inline(always)]
+pub(crate) fn xorshift_step(mut x: u64) -> u64 {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    x
+}
+
+/// The 8-bit draw [`CorePrng::next_u8`] returns once the generator has
+/// stepped to `state`.
+#[inline(always)]
+pub(crate) fn draw_u8(state: u64) -> u8 {
+    (state.wrapping_mul(XORSHIFT_STAR) >> 32) as u8
 }
 
 /// SplitMix64 scrambler (Steele et al.) used only for seeding.
